@@ -295,7 +295,7 @@ FleetResult run_fleet_hierarchical(const FleetConfig& cfg,
           ++fleet.domains[d].churn_swaps;
         },
         opts);
-    fleet.batch.jobs = bs.jobs;
+    fleet.batch.jobs += bs.jobs;  // one job per domain per slice
     fleet.batch.threads = bs.threads;
     fleet.batch.wall_seconds += bs.wall_seconds;
     fleet.batch.job_seconds += bs.job_seconds;

@@ -102,6 +102,9 @@ struct FleetResult {
   RunResult merged;
   /// Job-order merge of the per-shard registries plus fleet.* counters.
   obs::MetricsRegistry metrics;
+  /// Shard jobs run: one per domain on the flat path, one per domain
+  /// per slice with a coordinator. Times and cache counts are summed
+  /// over the slices likewise.
   BatchStats batch;
   double hm_ipc = 0.0;  // harmonic mean over all fleet cores
 

@@ -9,52 +9,9 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
   for (auto& lane : s_) lane = splitmix64(sm);
 }
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
-  // Lemire's multiply-shift mapping: fast and bias-free enough for
-  // workload synthesis. Falls back to modulo where the compiler has no
-  // 128-bit integers.
-#ifdef __SIZEOF_INT128__
-  __extension__ using u128 = unsigned __int128;
-  const u128 m = static_cast<u128>(next()) * static_cast<u128>(bound);
-  return static_cast<std::uint64_t>(m >> 64);
-#else
-  return next() % bound;
-#endif
-}
-
-double Rng::next_double() noexcept {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::next_bool(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
-}
-
-Rng Rng::split() noexcept { return Rng(next()); }
 
 }  // namespace cmm

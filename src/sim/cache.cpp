@@ -12,10 +12,15 @@ SetAssocCache::SetAssocCache(const CacheGeometry& geom)
       ways_(geom.ways),
       tags_(static_cast<std::size_t>(num_sets_) * ways_, kNoTag),
       ready_at_(static_cast<std::size_t>(num_sets_) * ways_, 0),
-      last_used_(static_cast<std::size_t>(num_sets_) * ways_, 0),
       owner_(static_cast<std::size_t>(num_sets_) * ways_, kInvalidCore),
       flags_(static_cast<std::size_t>(num_sets_) * ways_, 0),
-      valid_(num_sets_, 0) {
+      valid_(num_sets_, 0),
+      packed_lru_(ways_ <= kRecencyMaxWays) {
+  if (packed_lru_) {
+    recency_.assign(num_sets_, kRecencyInit);
+  } else {
+    last_used_.assign(static_cast<std::size_t>(num_sets_) * ways_, 0);
+  }
   assert(num_sets_ > 0 && (num_sets_ & (num_sets_ - 1)) == 0);
   assert(ways_ > 0 && ways_ <= 32 && "valid bitmask is a 32-bit WayMask");
 }
@@ -65,25 +70,50 @@ LookupResult SetAssocCache::access(Addr line_addr, AccessType type, Cycle now) {
     return r;
   }
 
-  touch(idx);
+  touch(set, static_cast<std::uint32_t>(way));
   return r;
 }
 
 FillResult SetAssocCache::fill(Addr line_addr, AccessType type, [[maybe_unused]] Cycle now,
                                Cycle ready_at, WayMask alloc_mask, CoreId owner) {
+  if (alloc_mask == 0) return FillResult{};  // no allocatable ways: fill dropped
+
+  // Refill of a resident line (e.g. racing prefetch): refresh metadata.
+  const std::uint32_t set = set_index(line_addr);
+  if (const int way = probe(set, line_addr); way >= 0) {
+    const std::size_t idx = line_index(set, static_cast<std::uint32_t>(way));
+    if (ready_at_[idx] > ready_at) ready_at_[idx] = ready_at;
+    if (type == AccessType::DemandStore) flags_[idx] |= kFlagDirty;
+    return FillResult{};
+  }
+  return install(line_addr, type, ready_at, alloc_mask, owner);
+}
+
+std::uint32_t SetAssocCache::lru_victim(std::uint32_t set, WayMask usable) const noexcept {
+  if (!packed_lru_) {
+    // Dense masks take the SIMD masked-argmin; sparse CAT partitions
+    // keep the O(popcount) bit-scan (simd.hpp contract).
+    return simd::argmin_tick(&last_used_[line_index(set, 0)], usable, ways_);
+  }
+  // Walk from the LRU slot towards the MRU one; a full mask stops at
+  // the first slot.
+  const std::uint64_t word = recency_[set];
+  for (std::uint32_t slot = ways_; slot-- > 0;) {
+    const auto way = static_cast<std::uint32_t>(word >> (4 * slot)) & 0xF;
+    if ((usable >> way) & 1U) return way;
+  }
+  assert(false && "usable mask holds no way of the set");
+  return 0;
+}
+
+FillResult SetAssocCache::install(Addr line_addr, AccessType type, Cycle ready_at,
+                                  WayMask alloc_mask, CoreId owner) {
   FillResult result;
   if (alloc_mask == 0) return result;  // no allocatable ways: fill dropped
   assert(line_addr != kNoTag && "~0 is reserved as the invalid-way sentinel tag");
 
   const std::uint32_t set = set_index(line_addr);
-
-  // Refill of a resident line (e.g. racing prefetch): refresh metadata.
-  if (const int way = probe(set, line_addr); way >= 0) {
-    const std::size_t idx = line_index(set, static_cast<std::uint32_t>(way));
-    if (ready_at_[idx] > ready_at) ready_at_[idx] = ready_at;
-    if (type == AccessType::DemandStore) flags_[idx] |= kFlagDirty;
-    return result;
-  }
+  assert(probe(set, line_addr) < 0 && "install() of a resident line");
 
   const WayMask usable = alloc_mask & full_mask(ways_);
   std::uint32_t victim;
@@ -93,11 +123,9 @@ FillResult SetAssocCache::fill(Addr line_addr, AccessType type, [[maybe_unused]]
     victim = static_cast<std::uint32_t>(std::countr_zero(invalid_ways));
   } else {
     if (usable == 0) return result;  // mask beyond associativity
-    // Evict the LRU (oldest-timestamp) line among the mask's set bits
-    // (every in-mask way is valid here). Dense masks take the SIMD
-    // masked-argmin; sparse CAT partitions keep the O(popcount)
-    // bit-scan — both are the identical argmin (simd.hpp contract).
-    victim = simd::argmin_tick(&last_used_[line_index(set, 0)], usable, ways_);
+    // Evict the LRU line among the mask's set bits (every in-mask way
+    // is valid here).
+    victim = lru_victim(set, usable);
     const std::size_t vidx = line_index(set, victim);
     result.evicted_valid = true;
     result.evicted_line = tags_[vidx];
@@ -119,7 +147,7 @@ FillResult SetAssocCache::fill(Addr line_addr, AccessType type, [[maybe_unused]]
   flags_[idx] = static_cast<std::uint8_t>((type == AccessType::Prefetch ? kFlagPrefetched : 0) |
                                           (type == AccessType::DemandStore ? kFlagDirty : 0));
   owner_add(owner);
-  touch(idx);
+  touch(set, victim);
   return result;
 }
 

@@ -11,6 +11,18 @@
 // short-circuit without touching the tag array at all.
 // CAT-masked victim selection iterates only the set bits of the
 // allocation mask, so a fill costs O(allowed ways), not O(associativity).
+//
+// LRU state has two representations, chosen by associativity:
+//  - up to 16 ways (the private L1/L2): one packed recency word per set,
+//    a 4-bit way id per slot, most recently used first. A touch moves
+//    the way's nibble to the front; the full-mask victim is the last
+//    nibble, and a sparse mask walks from the LRU end to the first way
+//    it allows.
+//  - more ways (the 20-way LLC): a global tick per line, the victim
+//    being the masked argmin (the SIMD kernel in simd.hpp).
+// Both pick the same victims: every valid line was touched at its fill,
+// ticks are unique, so tick order is recency order among valid lines,
+// and a victim is only ever chosen when every way in the mask is valid.
 #pragma once
 
 #include <bit>
@@ -103,9 +115,17 @@ class SetAssocCache {
   /// by `alloc_mask` (CAT). Invalid ways inside the mask are preferred;
   /// otherwise the LRU way inside the mask is evicted. A full mask is
   /// ordinary allocation. `ready_at` is the cycle the fill completes
-  /// (== now for demand fills that already waited on memory).
+  /// (== now for demand fills that already waited on memory). A line
+  /// already resident is not moved: its ready_at may only drop and a
+  /// store marks it dirty.
   FillResult fill(Addr line_addr, AccessType type, Cycle now, Cycle ready_at,
                   WayMask alloc_mask, CoreId owner = kInvalidCore);
+
+  /// fill() without the residency probe, for a caller that has just
+  /// missed on `line_addr` and inserted nothing into this cache since.
+  /// Installing a resident line would duplicate it; debug builds assert.
+  FillResult install(Addr line_addr, AccessType type, Cycle ready_at, WayMask alloc_mask,
+                     CoreId owner = kInvalidCore);
 
   /// Drop a line if present (used by inclusive back-invalidation, tests
   /// and back-invalidation studies). Counts an unused prefetched line
@@ -169,7 +189,37 @@ class SetAssocCache {
     return simd::find_tag(&tags_[line_index(set, 0)], ways_, line_addr);
   }
 
-  void touch(std::size_t idx) noexcept { last_used_[idx] = ++tick_; }
+  // Associativity up to which LRU state is a packed recency word.
+  static constexpr std::uint32_t kRecencyMaxWays = 16;
+  // Initial recency word: slot i holds way i. Slots at and above `ways_`
+  // keep ids no real way has, so a touch never finds or moves them.
+  static constexpr std::uint64_t kRecencyInit = 0xFEDCBA9876543210ULL;
+
+  /// Move `way` to the MRU slot of `word`: a SWAR search for the
+  /// nibble equal to `way`, then the slots in front of it shift back
+  /// one place.
+  static std::uint64_t promote(std::uint64_t word, std::uint32_t way) noexcept {
+    constexpr std::uint64_t kOnes = 0x1111111111111111ULL;
+    const std::uint64_t x = word ^ (kOnes * way);  // zero nibble where `way` sits
+    // Lowest zero nibble: borrows only start at a zero nibble, so no
+    // nibble below the first one is flagged.
+    const std::uint64_t zero = (x - kOnes) & ~x & (kOnes << 3);
+    const auto slot = static_cast<unsigned>(std::countr_zero(zero)) >> 2;
+    const std::uint64_t before = (std::uint64_t{1} << (4 * slot)) - 1;
+    const std::uint64_t through = (before << 4) | 0xF;
+    return (word & ~through) | ((word & before) << 4) | way;
+  }
+
+  void touch(std::uint32_t set, std::uint32_t way) noexcept {
+    if (packed_lru_) {
+      recency_[set] = promote(recency_[set], way);
+    } else {
+      last_used_[line_index(set, way)] = ++tick_;
+    }
+  }
+
+  /// LRU way of `set` among `usable` (non-empty, every way in it valid).
+  std::uint32_t lru_victim(std::uint32_t set, WayMask usable) const noexcept;
 
   void owner_add(CoreId o) {
     if (o == kInvalidCore) return;
@@ -188,7 +238,6 @@ class SetAssocCache {
   // SoA line metadata, set-major: index = set * ways_ + way.
   std::vector<Addr> tags_;
   std::vector<Cycle> ready_at_;
-  std::vector<std::uint64_t> last_used_;  // global-tick timestamp (higher = newer)
   std::vector<CoreId> owner_;
   std::vector<std::uint8_t> flags_;
   std::vector<WayMask> valid_;  // per-set valid bitmask (bit w = way w holds a line)
@@ -197,7 +246,11 @@ class SetAssocCache {
   // flush so occupancy_by_owner() never scans the line arrays.
   std::vector<std::uint64_t> owner_occupancy_;
 
-  std::uint64_t tick_ = 0;  // LRU clock
+  // LRU state, one of the two representations (see the file comment).
+  bool packed_lru_;
+  std::vector<std::uint64_t> recency_;    // per set, when packed_lru_
+  std::vector<std::uint64_t> last_used_;  // per line, otherwise (higher = newer)
+  std::uint64_t tick_ = 0;                // LRU clock of last_used_
   CacheStats stats_;
 };
 

@@ -21,8 +21,8 @@ CoreModel::CoreModel(CoreId id, const MachineConfig& cfg, SetAssocCache& llc, co
     engines_.push_back(make_prefetcher(kind));
     Prefetcher* p = engines_.back().get();
     const bool at_l1 = level_of(kind) == PrefetchLevel::L1;
-    (at_l1 ? l1_engines_ : l2_engines_).push_back(p);
-    if (!at_l1 && p->observes_prefetch_traffic()) l2_pf_traffic_engines_.push_back(p);
+    (at_l1 ? l1_engines_ : l2_engines_).push_back({p, kind});
+    if (!at_l1 && p->observes_prefetch_traffic()) l2_pf_traffic_engines_.push_back({p, kind});
     if (p->wants_cache_fill()) (at_l1 ? l1_fill_observers_ : l2_fill_observers_).push_back(p);
     if (kind == PrefetcherKind::L2Streamer) streamer_ = static_cast<StreamerPrefetcher*>(p);
   }
@@ -99,8 +99,8 @@ double CoreModel::demand_access(const MemRef& ref, double mlp) {
   // ---- L1 ----
   const LookupResult l1r = l1_.access(line, type, now_);
   const PrefetchObservation l1_obs{line, ref.ip, !l1r.hit};
-  for (Prefetcher* p : l1_engines_) {
-    if (msr_.enabled(p->kind())) p->observe(l1_obs, l1_cands_);
+  for (const Engine& e : l1_engines_) {
+    if (msr_.enabled(e.kind)) e.engine->observe(l1_obs, l1_cands_);
   }
 
   // `extra` accumulates latency beyond the (pipelined) L1 hit latency:
@@ -124,15 +124,15 @@ double CoreModel::demand_access(const MemRef& ref, double mlp) {
     ++ctr.l2_dm_req;
     const LookupResult l2r = l2_.access(line, type, now_);
     const PrefetchObservation l2_obs{line, ref.ip, !l2r.hit};
-    for (Prefetcher* p : l2_engines_) {
-      if (msr_.enabled(p->kind())) p->observe(l2_obs, l2_cands_);
+    for (const Engine& e : l2_engines_) {
+      if (msr_.enabled(e.kind)) e.engine->observe(l2_obs, l2_cands_);
     }
 
     if (l2r.hit) {
       const double wait = residual(l2r.ready_at, static_cast<double>(now_ + cfg_.l2_latency));
       extra = static_cast<double>(cfg_.l2_latency - cfg_.l1_latency) + wait;
       l2_pending = wait;
-      l1_.fill(line, type, now_, now_, ~WayMask{0});
+      l1_.install(line, type, now_, ~WayMask{0});
       notify_fill(l1_fill_observers_, line, false);
     } else {
       ++ctr.l2_dm_miss;
@@ -151,8 +151,8 @@ double CoreModel::demand_access(const MemRef& ref, double mlp) {
         l2_pending = extra;
         fill_llc(line, type, now_);
       }
-      l2_.fill(line, type, now_, now_, ~WayMask{0});
-      l1_.fill(line, type, now_, now_, ~WayMask{0});
+      l2_.install(line, type, now_, ~WayMask{0});
+      l1_.install(line, type, now_, ~WayMask{0});
       notify_fill(l2_fill_observers_, line, false);
       notify_fill(l1_fill_observers_, line, false);
     }
@@ -171,7 +171,7 @@ double CoreModel::demand_access(const MemRef& ref, double mlp) {
 }
 
 void CoreModel::fill_llc(Addr line, AccessType type, Cycle ready_at) {
-  const FillResult r = llc_.fill(line, type, now_, ready_at, cat_.core_mask(id_), id_);
+  const FillResult r = llc_.install(line, type, ready_at, cat_.core_mask(id_), id_);
   if (!r.evicted_valid) return;
   if (cfg_.model_writebacks && r.evicted_dirty) {
     const CoreId payer = r.evicted_owner != kInvalidCore ? r.evicted_owner : id_;
@@ -198,8 +198,8 @@ void CoreModel::issue_l1_prefetch(Addr line) {
   // indefinitely.
   const PrefetchObservation l2_obs{line, 0, !l2r.hit};
   l2_cands_from_l1_.clear();
-  for (Prefetcher* p : l2_pf_traffic_engines_) {
-    if (msr_.enabled(p->kind())) p->observe(l2_obs, l2_cands_from_l1_);
+  for (const Engine& e : l2_pf_traffic_engines_) {
+    if (msr_.enabled(e.kind)) e.engine->observe(l2_obs, l2_cands_from_l1_);
   }
   for (const Addr cand : l2_cands_from_l1_) issue_l2_prefetch(cand);
   Cycle ready;
@@ -215,10 +215,12 @@ void CoreModel::issue_l1_prefetch(Addr line) {
       ready = cfg_.instant_prefetch_fills ? now_ : now_ + cfg_.llc_latency + dram;
       fill_llc(line, AccessType::Prefetch, ready);
     }
+    // Probing fill: a streamer reaction above may have prefetched this
+    // very line into L2 since the miss.
     l2_.fill(line, AccessType::Prefetch, now_, ready, ~WayMask{0});
     notify_fill(l2_fill_observers_, line, true);
   }
-  l1_.fill(line, AccessType::Prefetch, now_, ready, ~WayMask{0});
+  l1_.install(line, AccessType::Prefetch, ready, ~WayMask{0});
   notify_fill(l1_fill_observers_, line, true);
 }
 
@@ -240,7 +242,7 @@ void CoreModel::issue_l2_prefetch(Addr line) {
     ready = cfg_.instant_prefetch_fills ? now_ : now_ + cfg_.llc_latency + dram;
     fill_llc(line, AccessType::Prefetch, ready);
   }
-  l2_.fill(line, AccessType::Prefetch, now_, ready, ~WayMask{0});
+  l2_.install(line, AccessType::Prefetch, ready, ~WayMask{0});
   notify_fill(l2_fill_observers_, line, true);
 }
 

@@ -165,8 +165,9 @@ class CoreModel {
     return a > arrival ? a - arrival : 0.0;
   }
 
-  /// Fill the shared LLC under this core's CAT mask, handling
-  /// writebacks of dirty victims and inclusive back-invalidation.
+  /// Install `line`, which the caller has just missed on, in the shared
+  /// LLC under this core's CAT mask, handling writebacks of dirty
+  /// victims and inclusive back-invalidation.
   void fill_llc(Addr line, AccessType type, Cycle ready_at);
 
   CoreId id_;
@@ -193,11 +194,16 @@ class CoreModel {
   // set reproduces the historical call order: streamer, adjacent at
   // L2; next-line, IP-stride at L1). The observer lists are the
   // opted-in subsets so the hot path skips empty fan-outs — all empty
-  // for the default Intel set.
+  // for the default Intel set. Observing lists carry each engine's kind
+  // so the per-reference MSR check makes no virtual call.
+  struct Engine {
+    Prefetcher* engine;
+    PrefetcherKind kind;
+  };
   std::vector<std::unique_ptr<Prefetcher>> engines_;
-  std::vector<Prefetcher*> l1_engines_;
-  std::vector<Prefetcher*> l2_engines_;
-  std::vector<Prefetcher*> l2_pf_traffic_engines_;  // observes_prefetch_traffic()
+  std::vector<Engine> l1_engines_;
+  std::vector<Engine> l2_engines_;
+  std::vector<Engine> l2_pf_traffic_engines_;  // observes_prefetch_traffic()
   std::vector<Prefetcher*> l1_fill_observers_;      // wants_cache_fill()
   std::vector<Prefetcher*> l2_fill_observers_;
   StreamerPrefetcher* streamer_ = nullptr;

@@ -85,6 +85,8 @@ class SpecOpSource final : public sim::OpSource {
   SpecOpSource(const BenchmarkSpec& spec, const sim::MachineConfig& machine, CoreId core,
                std::uint64_t seed);
 
+  /// A one-op batch: next() and next_batch() yield the same sequence
+  /// however the calls are interleaved.
   sim::Op next() override;
   /// Buffer refill without per-op virtual dispatch (traits are fixed).
   std::size_t next_batch(std::span<sim::Op> out) override;
@@ -94,8 +96,6 @@ class SpecOpSource final : public sim::OpSource {
   const std::string& benchmark_name() const noexcept { return name_; }
 
  private:
-  sim::Op produce();
-
   std::string name_;
   sim::CoreTraits traits_;
   double inst_per_mem_;

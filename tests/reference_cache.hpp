@@ -130,6 +130,18 @@ class ReferenceCache {
     for (auto& line : lines_) line.valid = false;
   }
 
+  std::size_t invalidate_owner(CoreId owner) {
+    if (owner == kInvalidCore) return 0;
+    std::size_t dropped = 0;
+    for (auto& line : lines_) {
+      if (!line.valid || line.owner != owner) continue;
+      if (line.prefetched && !line.pf_used) ++stats_.prefetched_lines_evicted_unused;
+      line.valid = false;
+      ++dropped;
+    }
+    return dropped;
+  }
+
   std::vector<std::uint64_t> occupancy_by_owner(unsigned num_cores) const {
     std::vector<std::uint64_t> counts(num_cores, 0);
     for (const auto& line : lines_) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <vector>
 
 #include "workloads/benchmark_specs.hpp"
 
@@ -119,6 +121,40 @@ TEST(MakeOpSource, ByNameEquivalent) {
   auto by_spec = make_op_source(spec_by_name("astar"), machine, 0, 5);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(by_name->next().mem.addr, by_spec->next().mem.addr);
+  }
+}
+
+// Op-for-op equality, every field the core model reads.
+bool same_op(const sim::Op& a, const sim::Op& b) {
+  return a.instructions == b.instructions && a.has_mem == b.has_mem &&
+         a.mem.addr == b.mem.addr && a.mem.ip == b.mem.ip && a.mem.is_store == b.mem.is_store;
+}
+
+// next() and next_batch() must yield one op sequence whatever the span
+// size: the batched generator fills each field in its own pass, and the
+// core model mixes both entry points (a migration refill, a batch).
+TEST(SpecOpSource, NextAndBatchesYieldTheSameStream) {
+  const auto machine = sim::MachineConfig::scaled(16);
+  constexpr std::size_t kOps = 10'000;
+  for (const auto& spec : benchmark_suite()) {
+    SpecOpSource single(spec, machine, 1, 77);
+    std::vector<sim::Op> want(kOps);
+    for (auto& op : want) op = single.next();
+
+    for (const std::size_t span : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+      SpecOpSource batched(spec, machine, 1, 77);
+      std::vector<sim::Op> got;
+      std::vector<sim::Op> buf(span);
+      while (got.size() < kOps) {
+        const std::size_t n = batched.next_batch(std::span<sim::Op>(buf));
+        ASSERT_EQ(n, span) << spec.name;
+        got.insert(got.end(), buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(n));
+      }
+      for (std::size_t i = 0; i < kOps; ++i) {
+        ASSERT_TRUE(same_op(got[i], want[i]))
+            << spec.name << " span " << span << " diverged at op " << i;
+      }
+    }
   }
 }
 

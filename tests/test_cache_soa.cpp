@@ -45,6 +45,14 @@ struct DiffConfig {
   // Address pool: small multiple of capacity so hits, conflict misses,
   // and mask-restricted evictions all occur frequently.
   std::uint64_t addr_pool_factor = 3;
+  // Stress knobs, all off by default (the op stream is then the one
+  // the original geometries were pinned with).
+  unsigned owner_drop_per_mille = 0;  // invalidate_owner() share of ops
+  unsigned flush_per_mille = 0;       // extra flush() share of ops
+  bool sparse_masks = false;          // add single-way and strided masks
+  // Fills of lines absent from the reference go through install(),
+  // which must then behave exactly like fill().
+  bool install_on_miss = false;
 };
 
 void run_differential(const DiffConfig& cfg) {
@@ -65,11 +73,36 @@ void run_differential(const DiffConfig& cfg) {
   }
   masks.push_back(contiguous_mask(ways - 1, 4));  // straddles the top way
   masks.push_back(0x5);                           // non-contiguous (model allows)
+  if (cfg.sparse_masks) {
+    // Sparse masks make the packed-recency victim walk pass over
+    // disallowed ways before it finds one.
+    for (unsigned w = 0; w < ways; ++w) masks.push_back(WayMask{1} << w);
+    masks.push_back(0x55555555u & full_mask(ways));
+    masks.push_back(0xAAAAAAAAu & full_mask(ways));
+    masks.push_back(0x11111111u & full_mask(ways));
+    masks.push_back(WayMask{1} | (WayMask{1} << (ways - 1)));
+  }
 
+  const unsigned extra_per_mille = cfg.owner_drop_per_mille + cfg.flush_per_mille;
   Cycle now = 0;
   for (std::uint64_t i = 0; i < cfg.ops; ++i) {
     now += rng.next_below(3);
     const Addr line = rng.next_below(pool);
+    if (extra_per_mille != 0) {
+      const auto extra = rng.next_below(1000);
+      if (extra < cfg.owner_drop_per_mille) {
+        const auto owner = static_cast<CoreId>(rng.next_below(cfg.num_cores));
+        ASSERT_EQ(soa.invalidate_owner(owner), ref.invalidate_owner(owner))
+            << "invalidate_owner diverged at op " << i;
+        ASSERT_TRUE(same(soa.stats(), ref.stats())) << "stats diverged at op " << i;
+        continue;
+      }
+      if (extra < extra_per_mille) {
+        soa.flush();
+        ref.flush();
+        continue;
+      }
+    }
     const auto roll = rng.next_below(100);
 
     if (roll < 45) {  // demand/prefetch access
@@ -87,7 +120,9 @@ void run_differential(const DiffConfig& cfg) {
       const auto owner = static_cast<CoreId>(rng.next_below(cfg.num_cores + 1));
       const CoreId o = owner == cfg.num_cores ? kInvalidCore : owner;
       const Cycle ready = now + rng.next_below(200);
-      const FillResult a = soa.fill(line, type, now, ready, mask, o);
+      const FillResult a = cfg.install_on_miss && !ref.contains(line)
+                               ? soa.install(line, type, ready, mask, o)
+                               : soa.fill(line, type, now, ready, mask, o);
       const FillResult b = ref.fill(line, type, now, ready, mask, o);
       ASSERT_TRUE(same(a, b)) << "fill diverged at op " << i;
     } else if (roll < 97) {  // invalidate
@@ -164,6 +199,54 @@ TEST(CacheSoaDifferential, MaxWays) {
   cfg.ops = 100'000;
   cfg.seed = 31;
   run_differential(cfg);
+}
+
+// Packed-recency geometries below the 8-way private caches: 4 ways,
+// and 12 ways, where the recency word has four unused slots.
+TEST(CacheSoaDifferential, FourWays) {
+  DiffConfig cfg;
+  cfg.geom = CacheGeometry{32 * 4 * 64, 4, 64};  // 32 sets x 4 ways
+  cfg.ops = 200'000;
+  cfg.seed = 0x4A4A;
+  run_differential(cfg);
+}
+
+TEST(CacheSoaDifferential, TwelveWays) {
+  DiffConfig cfg;
+  cfg.geom = CacheGeometry{16 * 12 * 64, 12, 64};  // 16 sets x 12 ways
+  cfg.ops = 200'000;
+  cfg.seed = 0x12;
+  cfg.sparse_masks = true;
+  run_differential(cfg);
+}
+
+// Removal-heavy 8-way run: owner drops, flushes and sparse masks leave
+// invalid ways at every recency position, whose stale slots must never
+// be chosen over a valid line's.
+TEST(CacheSoaDifferential, EightWayRemovalAndSparseMaskStress) {
+  DiffConfig cfg;
+  cfg.geom = CacheGeometry{16 * 8 * 64, 8, 64};  // 16 sets x 8 ways
+  cfg.ops = 300'000;
+  cfg.seed = 0x5A5A;
+  cfg.owner_drop_per_mille = 20;
+  cfg.flush_per_mille = 3;
+  cfg.sparse_masks = true;
+  run_differential(cfg);
+}
+
+// install() after a miss is fill() without the probe, on both LRU
+// representations (packed recency at 8 ways, ticks at 20).
+TEST(CacheSoaDifferential, InstallAfterMissEqualsFill) {
+  for (const std::uint32_t ways : {8u, 20u}) {
+    DiffConfig cfg;
+    cfg.geom = CacheGeometry{32 * ways * 64, ways, 64};  // 32 sets
+    cfg.ops = 200'000;
+    cfg.seed = 0x1257A11 + ways;
+    cfg.sparse_masks = true;
+    cfg.install_on_miss = true;
+    run_differential(cfg);
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace

@@ -224,6 +224,27 @@ TEST(FleetPlacement, BandwidthBalancedIsDeterministicAndFull) {
   EXPECT_EQ(flat, want);
 }
 
+// batch.jobs counts every shard job run: one per domain on the flat
+// path, one per domain per slice on the coordinated path.
+TEST(FleetAccounting, BatchJobsCountEveryShardJob) {
+  FleetConfig cfg;
+  cfg.params = fleet_params(2);
+  cfg.churn_slice = 60'000;
+  cfg.churn_per_mille = 0;      // slicing without swaps
+  cfg.churn_catalog = {"mcf"};  // non-empty so both paths slice
+  const auto mixes = plan_placement(tenant_pool(8), PlacementMode::RoundRobin, cfg.params);
+  const std::size_t domains = mixes.size();
+  const std::size_t slices =
+      static_cast<std::size_t>((cfg.params.run_cycles + cfg.churn_slice - 1) / cfg.churn_slice);
+  ASSERT_GT(slices, 1u);
+
+  EXPECT_EQ(run_fleet(cfg, mixes).batch.jobs, domains);
+
+  FleetConfig coordinated = cfg;
+  coordinated.coordinator_period = 1;
+  EXPECT_EQ(run_fleet(coordinated, mixes).batch.jobs, domains * slices);
+}
+
 TEST(FleetValidation, RejectsMalformedInput) {
   FleetConfig cfg;
   cfg.params = fleet_params(2);

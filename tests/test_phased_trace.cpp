@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "sim/multicore_system.hpp"
 #include "workloads/phased.hpp"
@@ -52,6 +54,41 @@ TEST(Phased, ResetRestartsPhaseZero) {
   src.reset();
   EXPECT_EQ(src.current_phase(), 0u);
   EXPECT_EQ(src.current_benchmark(), "povray");
+}
+
+// next() and next_batch() at any span size yield the same ops, and a
+// batch never crosses a phase boundary (its ops share one traits()).
+TEST(Phased, NextAndBatchesYieldTheSameStreamAcrossPhases) {
+  const std::vector<PhasedOpSource::Phase> phases{{"povray", 3000}, {"libquantum", 2000}};
+  constexpr std::size_t kOps = 10'000;
+  PhasedOpSource single(phases, kMachine, 0, 42);
+  std::vector<sim::Op> want(kOps);
+  std::vector<std::size_t> want_phase(kOps);
+  for (std::size_t i = 0; i < kOps; ++i) {
+    want[i] = single.next();
+    want_phase[i] = single.current_phase();
+  }
+  ASSERT_NE(want_phase.front(), want_phase.back());  // the run crosses phases
+
+  for (const std::size_t span : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+    PhasedOpSource batched(phases, kMachine, 0, 42);
+    std::vector<sim::Op> buf(span);
+    std::size_t i = 0;
+    while (i < kOps) {
+      const std::size_t n = batched.next_batch(std::span<sim::Op>(buf));
+      ASSERT_GE(n, 1u);
+      ASSERT_LE(n, span);
+      for (std::size_t k = 0; k < n && i < kOps; ++k, ++i) {
+        const sim::Op& a = buf[k];
+        const sim::Op& b = want[i];
+        ASSERT_TRUE(a.instructions == b.instructions && a.has_mem == b.has_mem &&
+                    a.mem.addr == b.mem.addr && a.mem.ip == b.mem.ip &&
+                    a.mem.is_store == b.mem.is_store)
+            << "span " << span << " diverged at op " << i;
+        ASSERT_EQ(batched.current_phase(), want_phase[i]) << "span " << span << " op " << i;
+      }
+    }
+  }
 }
 
 TEST(Phased, RunsOnACore) {
