@@ -5,7 +5,6 @@
 #include <iostream>
 
 #include "analysis/solo_cache.hpp"
-#include "common/parallel.hpp"
 
 namespace cmm::bench {
 
@@ -148,8 +147,7 @@ void print_preamble(const BenchEnv& env, const std::string& figure, const std::s
             << "machine: " << m.num_cores << " cores, LLC " << m.llc.size_bytes / 1024 << " KB/"
             << m.llc.ways << "w, L2 " << m.l2.size_bytes / 1024 << " KB, L1 "
             << m.l1d.size_bytes / 1024 << " KB | run " << env.params.run_cycles << " cycles, "
-            << env.mixes_per_category << " mixes/category, seed " << env.params.seed << ", "
-            << resolve_threads(0) << " threads\n"
+            << env.mixes_per_category << " mixes/category, seed " << env.params.seed << "\n"
             << "(scale with CMM_BENCH_SCALE / CMM_BENCH_CYCLES / CMM_BENCH_MIXES / "
                "CMM_THREADS)\n\n";
 }

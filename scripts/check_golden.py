@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Golden-pin checker for bench binaries' machine-readable output.
+"""Golden-pin checker for bench binaries' output.
 
-Runs a binary under a pinned environment, keeps the stdout lines whose
-JSON payload starts with the given tag (lines beginning '{"<tag>'),
-and diffs them verbatim against a checked-in golden file.
+Runs a binary under a pinned environment and diffs part of its stdout
+verbatim against a checked-in golden file. With --tag it keeps the
+lines whose JSON payload starts with the tag (lines beginning
+'{"<tag>'); without it, the whole output minus the one nondeterministic
+line, the batch summary that reports "wall_s".
 
 Regenerate a golden after an intentional change with --update (or
 CMM_UPDATE_GOLDEN=1 in the environment) and review the diff.
@@ -17,9 +19,12 @@ import subprocess
 import sys
 
 
-def extract(stdout: str, tag: str) -> str:
-    prefix = '{"' + tag
-    lines = [line for line in stdout.splitlines() if line.startswith(prefix)]
+def extract(stdout: str, tag: str | None) -> str:
+    if tag is None:
+        lines = [line for line in stdout.splitlines() if '"wall_s"' not in line]
+    else:
+        prefix = '{"' + tag
+        lines = [line for line in stdout.splitlines() if line.startswith(prefix)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -28,7 +33,13 @@ def self_test() -> int:
     got = extract(out, "fig05")
     want = '{"fig05":{"a":1}}\n{"fig05":{"b":2}}\n'
     if got != want:
-        print("self-test FAILED", file=sys.stderr)
+        print("self-test FAILED (tagged)", file=sys.stderr)
+        return 1
+    out = '== Fig 7 ==\n\na  1\n\n{"jobs":3,"threads":2,"wall_s":0.5}\n'
+    got = extract(out, None)
+    want = '== Fig 7 ==\n\na  1\n\n'
+    if got != want:
+        print("self-test FAILED (whole output)", file=sys.stderr)
         return 1
     print("self-test OK")
     return 0
@@ -38,7 +49,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--binary", help="bench binary to run")
     parser.add_argument("--golden", help="checked-in golden file to diff against")
-    parser.add_argument("--tag", default="fig05", help="JSON tag selecting output lines")
+    parser.add_argument("--tag", help="JSON tag selecting output lines "
+                        "(default: the whole output minus the \"wall_s\" line)")
     parser.add_argument("--env", action="append", default=[], metavar="K=V",
                         help="environment overrides for the run (repeatable)")
     parser.add_argument("--update", action="store_true", help="rewrite the golden file")
@@ -68,7 +80,8 @@ def main() -> int:
 
     actual = extract(proc.stdout, args.tag)
     if not actual:
-        print(f"no '{{\"{args.tag}' lines in {args.binary} output", file=sys.stderr)
+        what = f"'{{\"{args.tag}' lines" if args.tag else "output"
+        print(f"no {what} in {args.binary} output", file=sys.stderr)
         return 2
 
     if args.update or os.environ.get("CMM_UPDATE_GOLDEN"):
