@@ -1,10 +1,7 @@
 #include "bench_common.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
-
-#include "analysis/solo_cache.hpp"
 
 namespace cmm::bench {
 
@@ -36,111 +33,6 @@ std::vector<workloads::WorkloadMix> BenchEnv::workloads() const {
   return workloads::paper_workloads(params.machine.num_cores, params.seed, mixes_per_category);
 }
 
-MixEvaluator::MixEvaluator(BenchEnv env) : env_(std::move(env)) {}
-
-const analysis::BatchStats& MixEvaluator::warm(const std::vector<workloads::WorkloadMix>& mixes,
-                                               std::vector<std::string> policies) {
-  if (std::find(policies.begin(), policies.end(), "baseline") == policies.end()) {
-    policies.insert(policies.begin(), "baseline");
-  }
-
-  struct MixJob {
-    const workloads::WorkloadMix* mix;
-    const std::string* policy;
-    std::string key;
-  };
-  std::vector<MixJob> mix_jobs;
-  for (const auto& mix : mixes) {
-    for (const auto& policy : policies) {
-      std::string key = mix.name + "/" + policy;
-      if (!cache_.contains(key)) mix_jobs.push_back({&mix, &policy, std::move(key)});
-    }
-  }
-  std::vector<std::string> solos;
-  for (const auto& mix : mixes) {
-    for (const auto& b : mix.benchmarks) {
-      if (!alone_.contains(b) && std::find(solos.begin(), solos.end(), b) == solos.end()) {
-        solos.push_back(b);
-      }
-    }
-  }
-
-  // One batch over mix runs + alone solos. Every job owns its own
-  // system and policy instance, so results match the serial getters
-  // bit-for-bit; the maps are filled serially afterwards.
-  std::vector<analysis::RunResult> mix_results(mix_jobs.size());
-  std::vector<double> solo_ipcs(solos.size());
-  batch_ = analysis::run_batch(mix_jobs.size() + solos.size(), [&](std::size_t i) {
-    if (i < mix_jobs.size()) {
-      const auto policy = analysis::make_policy(*mix_jobs[i].policy, env_.params.detector());
-      mix_results[i] = analysis::run_mix(*mix_jobs[i].mix, *policy, env_.params);
-    } else {
-      const auto& name = solos[i - mix_jobs.size()];
-      solo_ipcs[i - mix_jobs.size()] =
-          analysis::run_solo_cached(name, env_.params, /*prefetch_on=*/true)->cores.front().ipc;
-    }
-  });
-  for (std::size_t i = 0; i < mix_jobs.size(); ++i) {
-    cache_.emplace(std::move(mix_jobs[i].key), std::move(mix_results[i]));
-  }
-  for (std::size_t i = 0; i < solos.size(); ++i) alone_[solos[i]] = solo_ipcs[i];
-  return batch_;
-}
-
-const analysis::RunResult& MixEvaluator::run(const workloads::WorkloadMix& mix,
-                                             const std::string& policy) {
-  const std::string key = mix.name + "/" + policy;
-  if (const auto it = cache_.find(key); it != cache_.end()) return it->second;
-  auto pol = analysis::make_policy(policy, env_.params.detector());
-  auto result = analysis::run_mix(mix, *pol, env_.params);
-  return cache_.emplace(key, std::move(result)).first->second;
-}
-
-double MixEvaluator::alone_ipc(const std::string& benchmark) {
-  if (const auto it = alone_.find(benchmark); it != alone_.end()) return it->second;
-  const double ipc =
-      analysis::run_solo_cached(benchmark, env_.params, /*prefetch_on=*/true)->cores.front().ipc;
-  alone_[benchmark] = ipc;
-  return ipc;
-}
-
-double MixEvaluator::hs(const analysis::RunResult& result) {
-  std::vector<double> together;
-  std::vector<double> alone;
-  for (const auto& core : result.cores) {
-    together.push_back(core.ipc);
-    alone.push_back(alone_ipc(core.benchmark));
-  }
-  return analysis::harmonic_speedup(together, alone);
-}
-
-double MixEvaluator::normalized_hs(const workloads::WorkloadMix& mix, const std::string& policy) {
-  const double base = hs(run(mix, "baseline"));
-  const double value = hs(run(mix, policy));
-  return base > 0.0 ? value / base : 0.0;
-}
-
-double MixEvaluator::normalized_ws(const workloads::WorkloadMix& mix, const std::string& policy) {
-  return analysis::weighted_speedup(run(mix, policy).ipcs(), run(mix, "baseline").ipcs());
-}
-
-double MixEvaluator::worst_case(const workloads::WorkloadMix& mix, const std::string& policy) {
-  return analysis::worst_case_speedup(run(mix, policy).ipcs(), run(mix, "baseline").ipcs());
-}
-
-double MixEvaluator::normalized_bw(const workloads::WorkloadMix& mix, const std::string& policy) {
-  const double base = run(mix, "baseline").total_gbs();
-  const double value = run(mix, policy).total_gbs();
-  return base > 0.0 ? value / base : 0.0;
-}
-
-double MixEvaluator::normalized_stalls(const workloads::WorkloadMix& mix,
-                                       const std::string& policy) {
-  const double base = static_cast<double>(run(mix, "baseline").total_stalls());
-  const double value = static_cast<double>(run(mix, policy).total_stalls());
-  return base > 0.0 ? value / base : 0.0;
-}
-
 void print_preamble(const BenchEnv& env, const std::string& figure, const std::string& what) {
   const auto& m = env.params.machine;
   std::cout << "== " << figure << ": " << what << " ==\n"
@@ -154,17 +46,6 @@ void print_preamble(const BenchEnv& env, const std::string& figure, const std::s
 
 void print_batch_summary(const analysis::BatchStats& stats) {
   std::cout << "\n" << stats.json() << "\n";
-}
-
-double category_mean(MixEvaluator& eval, const std::vector<workloads::WorkloadMix>& mixes,
-                     workloads::MixCategory category, const std::string& policy,
-                     double (MixEvaluator::*metric)(const workloads::WorkloadMix&,
-                                                    const std::string&)) {
-  std::vector<double> values;
-  for (const auto& mix : mixes) {
-    if (mix.category == category) values.push_back((eval.*metric)(mix, policy));
-  }
-  return analysis::mean(values);
 }
 
 }  // namespace cmm::bench
