@@ -256,14 +256,14 @@ int main() {
   print_mix_table(eval, mixes, with("workload", mechanisms), mechanisms,
                   {&MixEvaluator::normalized_bw});
   std::cout << "\ncategory means:\n";
-  print_category_table(eval, mixes, with("workload", mechanisms), mechanisms,
+  print_category_table(eval, mixes, with("category", mechanisms), mechanisms,
                        {&MixEvaluator::normalized_bw});
 
   section("Fig 15", "normalized L2-pending stalls, all 7 mechanisms");
   print_mix_table(eval, mixes, with("workload", mechanisms), mechanisms,
                   {&MixEvaluator::normalized_stalls});
   std::cout << "\ncategory means:\n";
-  print_category_table(eval, mixes, with("workload", mechanisms), mechanisms,
+  print_category_table(eval, mixes, with("category", mechanisms), mechanisms,
                        {&MixEvaluator::normalized_stalls});
 
   bench::print_batch_summary(eval.batch_stats());
