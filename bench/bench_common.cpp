@@ -1,5 +1,6 @@
 #include "bench_common.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 
@@ -7,13 +8,34 @@ namespace cmm::bench {
 
 namespace {
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return static_cast<std::uint64_t>(std::strtoull(value, nullptr, 10));
+template <typename T>
+T parse(const char* name, std::string_view text, const char* expected) {
+  T value{};
+  const char* const last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || end != last) {
+    std::cerr << name << "=\"" << text << "\" is not " << expected << "\n";
+    std::exit(2);
+  }
+  return value;
 }
 
 }  // namespace
+
+std::uint64_t parse_u64(const char* name, std::string_view text) {
+  return parse<std::uint64_t>(name, text, "an unsigned decimal integer");
+}
+
+std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+  const char* value = std::getenv(name);
+  return value == nullptr || *value == '\0' ? fallback : parse_u64(name, value);
+}
+
+double env_double(const char* name, double fallback) {
+  const char* value = std::getenv(name);
+  return value == nullptr || *value == '\0' ? fallback
+                                             : parse<double>(name, value, "a decimal number");
+}
 
 BenchEnv BenchEnv::from_env() {
   BenchEnv env;

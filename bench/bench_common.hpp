@@ -11,9 +11,13 @@
 //   CMM_THREADS       worker threads for the parallel batch layer
 //                     (default: hardware_concurrency). Results are
 //                     bit-identical at any thread count.
+// A knob that is set but malformed ("8e6", "three") is an error, not a
+// silent misparse: the binary names it and exits 2 before simulating.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/run_harness.hpp"
@@ -22,6 +26,19 @@
 #include "workloads/workload_mix.hpp"
 
 namespace cmm::bench {
+
+/// `text` as an unsigned decimal integer. Anything else (empty, a sign,
+/// a fraction or exponent, trailing characters, out of range) prints
+/// `name` and the text to stderr and exits 2.
+std::uint64_t parse_u64(const char* name, std::string_view text);
+
+/// Environment variable `name` parsed with parse_u64, or `fallback`
+/// when it is unset or empty.
+std::uint64_t env_u64(const char* name, std::uint64_t fallback);
+
+/// Environment variable `name` as a decimal floating-point number, or
+/// `fallback` when it is unset or empty; malformed values exit 2.
+double env_double(const char* name, double fallback);
 
 struct BenchEnv {
   analysis::RunParams params;

@@ -35,18 +35,13 @@
 #include <vector>
 
 #include "analysis/fleet.hpp"
+#include "bench_common.hpp"
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "workloads/workload_mix.hpp"
 
 namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return static_cast<std::uint64_t>(std::strtoull(value, nullptr, 10));
-}
 
 bool gate(bool ok, const std::string& what) {
   std::cout << (ok ? "PASS" : "FAIL") << "  " << what << "\n";
@@ -57,6 +52,7 @@ bool gate(bool ok, const std::string& what) {
 
 int main() {
   using namespace cmm;
+  using bench::env_u64;
   using analysis::FleetConfig;
   using analysis::FleetResult;
 

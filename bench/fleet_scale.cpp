@@ -29,16 +29,11 @@
 #include <vector>
 
 #include "analysis/fleet.hpp"
+#include "bench_common.hpp"
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 
 namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return static_cast<std::uint64_t>(std::strtoull(value, nullptr, 10));
-}
 
 std::vector<unsigned> env_csv(const char* name, std::vector<unsigned> fallback) {
   const char* value = std::getenv(name);
@@ -47,7 +42,7 @@ std::vector<unsigned> env_csv(const char* name, std::vector<unsigned> fallback) 
   std::stringstream ss(value);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(static_cast<unsigned>(std::strtoul(item.c_str(), nullptr, 10)));
+    if (!item.empty()) out.push_back(static_cast<unsigned>(cmm::bench::parse_u64(name, item)));
   }
   return out.empty() ? fallback : out;
 }
@@ -61,6 +56,7 @@ bool gate(bool ok, const std::string& what) {
 
 int main() {
   using namespace cmm;
+  using bench::env_u64;
   using analysis::FleetConfig;
   using analysis::FleetResult;
 

@@ -7,26 +7,17 @@
 //
 // Env: CMM_THREADS (parallel worker count, default all cores) and the
 // usual CMM_BENCH_SCALE / CMM_BENCH_CYCLES / CMM_BENCH_SEED knobs.
-#include <cstdlib>
 #include <iostream>
 
 #include "analysis/run_harness.hpp"
 #include "analysis/solo_cache.hpp"
+#include "bench_common.hpp"
 #include "common/parallel.hpp"
 #include "workloads/workload_mix.hpp"
 
-namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return static_cast<std::uint64_t>(std::strtoull(value, nullptr, 10));
-}
-
-}  // namespace
-
 int main() {
   using namespace cmm;
+  using bench::env_u64;
 
   analysis::RunParams params;
   params.machine = sim::MachineConfig::scaled(

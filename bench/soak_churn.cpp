@@ -19,23 +19,12 @@
 #include <string>
 
 #include "analysis/solo_cache.hpp"
+#include "bench_common.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/metrics_registry.hpp"
 #include "service/soak.hpp"
 
 namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return static_cast<std::uint64_t>(std::strtoull(value, nullptr, 10));
-}
-
-double env_double(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtod(value, nullptr);
-}
 
 bool gate(bool ok, const std::string& what) {
   std::cout << (ok ? "PASS" : "FAIL") << "  " << what << "\n";
@@ -46,6 +35,8 @@ bool gate(bool ok, const std::string& what) {
 
 int main() {
   using namespace cmm;
+  using bench::env_double;
+  using bench::env_u64;
 
   service::SoakConfig cfg;
   const auto scale = static_cast<unsigned>(env_u64("CMM_SOAK_SCALE", 32));
