@@ -37,22 +37,6 @@ EpochDriver::EpochDriver(sim::MulticoreSystem& system, Policy& policy, const Epo
 }
 
 EpochDriver::EpochDriver(sim::MulticoreSystem& system, Policy& policy, hw::MsrDevice& msr,
-                         hw::PmuReader& pmu, hw::CatController& cat, const EpochConfig& cfg)
-    : system_(system),
-      policy_(policy),
-      cfg_(cfg),
-      owned_mba_(std::make_unique<hw::SimMbaController>(system)),
-      msr_(&msr),
-      cat_(&cat),
-      pmu_(&pmu),
-      mba_(owned_mba_.get()),
-      retry_(logging_retry(cfg.retry)),
-      prefetch_(*msr_, retry_),
-      probe_prefetch_(*msr_, RetryPolicy{.max_attempts = 1}) {
-  init();
-}
-
-EpochDriver::EpochDriver(sim::MulticoreSystem& system, Policy& policy, hw::MsrDevice& msr,
                          hw::PmuReader& pmu, hw::CatController& cat, hw::MbaController& mba,
                          const EpochConfig& cfg)
     : system_(system),

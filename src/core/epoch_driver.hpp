@@ -99,14 +99,10 @@ class EpochDriver {
  public:
   EpochDriver(sim::MulticoreSystem& system, Policy& policy, const EpochConfig& cfg = {});
 
-  /// HAL-injection constructor: drive the given devices (which must
-  /// outlive the driver) instead of sim-bound ones — the seam the
-  /// fault-injecting decorators and a real-hardware port plug into.
-  /// Without an MbaController the driver owns a sim-bound one.
-  EpochDriver(sim::MulticoreSystem& system, Policy& policy, hw::MsrDevice& msr,
-              hw::PmuReader& pmu, hw::CatController& cat, const EpochConfig& cfg = {});
-
-  /// Full three-axis injection constructor (PT + CP + BP devices).
+  /// HAL-injection constructor: drive the given PT + CP + BP devices
+  /// (which must outlive the driver) instead of sim-bound ones — the
+  /// seam the fault-injecting decorators and a real-hardware port plug
+  /// into.
   EpochDriver(sim::MulticoreSystem& system, Policy& policy, hw::MsrDevice& msr,
               hw::PmuReader& pmu, hw::CatController& cat, hw::MbaController& mba,
               const EpochConfig& cfg = {});
@@ -233,8 +229,7 @@ class EpochDriver {
   Policy& policy_;
   EpochConfig cfg_;
 
-  // Owned sim-bound HAL (null when the injection constructor is used;
-  // the MBA device is owned unless the three-axis overload supplies it).
+  // Owned sim-bound HAL (null when the injection constructor is used).
   std::unique_ptr<hw::SimMsrDevice> owned_msr_;
   std::unique_ptr<hw::SimCatController> owned_cat_;
   std::unique_ptr<hw::SimPmuReader> owned_pmu_;

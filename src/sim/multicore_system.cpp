@@ -68,17 +68,6 @@ std::size_t MulticoreSystem::attach_core_stream(CoreId id, OpStreamState state) 
   return dropped;
 }
 
-void MulticoreSystem::swap_tenants(CoreId a, CoreId b) {
-  OpStreamState stream_a = cores_.at(a)->export_stream();
-  OpStreamState stream_b = cores_.at(b)->export_stream();
-  const bool idle_a = idle_.at(a);
-  const bool idle_b = idle_.at(b);
-  attach_core_stream(a, std::move(stream_b));
-  attach_core_stream(b, std::move(stream_a));
-  idle_.at(a) = idle_b;
-  idle_.at(b) = idle_a;
-}
-
 unsigned MulticoreSystem::num_idle_cores() const noexcept {
   unsigned n = 0;
   for (const bool b : idle_) n += b ? 1u : 0u;

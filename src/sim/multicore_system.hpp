@@ -123,11 +123,6 @@ class MulticoreSystem {
   /// position. Returns the number of LLC lines invalidated.
   std::size_t attach_core_stream(CoreId id, OpStreamState state);
 
-  /// Exchange the tenants of two cores (same or different domains) in
-  /// one step — the coordinator's migration primitive on a fully
-  /// occupied machine. Both cores restart cold; both streams continue.
-  void swap_tenants(CoreId a, CoreId b);
-
   /// True when `id` currently runs the hotplug idle loop.
   bool core_idle(CoreId id) const { return idle_.at(id); }
   unsigned num_idle_cores() const noexcept;

@@ -56,6 +56,15 @@ void expect_stream_equal(const sim::OpStreamState& a, const sim::OpStreamState& 
   }
 }
 
+// The fleet coordinator's migration step: export both streams, then
+// attach each on the other core.
+void swap_streams(sim::MulticoreSystem& sys, CoreId a, CoreId b) {
+  sim::OpStreamState sa = sys.export_tenant(a);
+  sim::OpStreamState sb = sys.export_tenant(b);
+  sys.attach_core_stream(a, std::move(sb));
+  sys.attach_core_stream(b, std::move(sa));
+}
+
 TEST(SimMigration, SwapTransplantsBufferedOpsExactly) {
   sim::MulticoreSystem sys(small_machine(2));
   sys.set_op_source(0, workloads::make_op_source("lbm", sys.config(), 0, 7));
@@ -70,7 +79,7 @@ TEST(SimMigration, SwapTransplantsBufferedOpsExactly) {
   // an odd cycle count at least one core is mid-batch.
   ASSERT_TRUE(s0.len > s0.pos || s1.len > s1.pos);
 
-  sys.swap_tenants(0, 1);
+  swap_streams(sys, 0, 1);
   // Stream state crossed over bit-for-bit: no skipped, no replayed ops.
   expect_stream_equal(sys.export_tenant(0), s1);
   expect_stream_equal(sys.export_tenant(1), s0);
@@ -86,7 +95,7 @@ TEST(SimMigration, PmuSurvivesMigrationMonotonically) {
   const auto before = sys.pmu().snapshot();
   ASSERT_GT(before[0].instructions, 0u);
 
-  sys.swap_tenants(0, 1);
+  swap_streams(sys, 0, 1);
   // The PMU is per-core, not per-tenant: counters are never reset by a
   // migration (history stays attributed to the core, like hardware).
   EXPECT_EQ(sys.pmu().snapshot(), before);
@@ -106,7 +115,7 @@ TEST(SimMigration, MigratedCoreRestartsCold) {
   sys.run(200'000);  // lbm builds an LLC footprint
   ASSERT_GT(sys.llc().occupancy_by_owner(2)[0], 0u);
 
-  sys.swap_tenants(0, 1);
+  swap_streams(sys, 0, 1);
   // Migration = hotplug semantics: the departing tenant's LLC lines
   // are invalidated (its destination domain starts cold; here both
   // directions share the one LLC, so both footprints drop).

@@ -49,6 +49,7 @@ struct FaultedRun {
   hw::SimMsrDevice sim_msr;
   hw::SimPmuReader sim_pmu;
   hw::SimCatController sim_cat;
+  hw::SimMbaController sim_mba;
   hw::FaultInjector injector;
   hw::FaultInjectingMsrDevice msr;
   hw::FaultInjectingPmuReader pmu;
@@ -61,11 +62,12 @@ struct FaultedRun {
         sim_msr(*sys),
         sim_pmu(*sys),
         sim_cat(*sys),
+        sim_mba(*sys),
         injector(plan),
         msr(sim_msr, injector),
         pmu(sim_pmu, injector),
         cat(sim_cat, injector),
-        driver(*sys, *policy, msr, pmu, cat, epochs) {}
+        driver(*sys, *policy, msr, pmu, cat, sim_mba, epochs) {}
 };
 
 /// The sequence of down/up rungs for one axis, in log order.
