@@ -5,7 +5,7 @@
 // Environment knobs (all optional):
 //   CMM_BENCH_SCALE   LLC capacity divisor for the simulated machine
 //                     (default 16; 1 = the paper's full 20 MB LLC)
-//   CMM_BENCH_CYCLES  simulated cycles per workload run (default 8e6)
+//   CMM_BENCH_CYCLES  simulated cycles per workload run (default 8000000)
 //   CMM_BENCH_MIXES   workloads per category (default 3; paper uses 10)
 //   CMM_BENCH_SEED    workload/mix RNG seed (default 42)
 //   CMM_THREADS       worker threads for the parallel batch layer
