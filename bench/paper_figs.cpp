@@ -239,7 +239,7 @@ int main() {
   unsigned above80 = 0;
   unsigned above90 = 0;
   for (const auto& mix : mixes) {
-    double lo = 1e300;
+    double lo = eval.worst_case(mix, cmm.front());
     for (const auto& p : cmm) lo = std::min(lo, eval.worst_case(mix, p));
     if (lo >= 0.8) ++above80;
     if (lo >= 0.9) ++above90;
