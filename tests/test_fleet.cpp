@@ -224,8 +224,9 @@ TEST(FleetPlacement, BandwidthBalancedIsDeterministicAndFull) {
   EXPECT_EQ(flat, want);
 }
 
-// batch.jobs counts every shard job run: one per domain on the flat
-// path, one per domain per slice on the coordinated path.
+// batch.jobs counts every shard job run: one per domain per segment,
+// where a segment is the whole run without a coordinator and K slices
+// (one coordinator period) with one.
 TEST(FleetAccounting, BatchJobsCountEveryShardJob) {
   FleetConfig cfg;
   cfg.params = fleet_params(2);
@@ -243,6 +244,9 @@ TEST(FleetAccounting, BatchJobsCountEveryShardJob) {
   FleetConfig coordinated = cfg;
   coordinated.coordinator_period = 1;
   EXPECT_EQ(run_fleet(coordinated, mixes).batch.jobs, domains * slices);
+
+  coordinated.coordinator_period = 2;
+  EXPECT_EQ(run_fleet(coordinated, mixes).batch.jobs, domains * ((slices + 1) / 2));
 }
 
 TEST(FleetValidation, RejectsMalformedInput) {

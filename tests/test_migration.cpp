@@ -395,17 +395,20 @@ TEST(FleetHierarchy, NoAcceptedMigrationMatchesFlatRunner) {
   flat.churn_slice = 60'000;
   flat.churn_per_mille = 0;       // slicing without swaps
   flat.churn_catalog = {"mcf"};   // non-empty so both paths slice
-  FleetConfig hier = flat;
-  hier.coordinator_period = 1;
-  hier.migration_min_gain = 1e9;
-
   const auto mixes = pathological_mixes();
   const FleetResult a = run_fleet(flat, mixes);
-  const FleetResult b = run_fleet(hier, mixes);
-  EXPECT_EQ(a.merged, b.merged);
-  EXPECT_EQ(b.accepted_migrations(), 0u);
-  for (std::size_t d = 0; d < a.domains.size(); ++d) {
-    EXPECT_EQ(a.domains[d].result, b.domains[d].result) << "domain " << d;
+
+  for (const unsigned k : {1u, 2u, 3u}) {
+    SCOPED_TRACE("coordinator_period " + std::to_string(k));
+    FleetConfig hier = flat;
+    hier.coordinator_period = k;
+    hier.migration_min_gain = 1e9;
+    const FleetResult b = run_fleet(hier, mixes);
+    EXPECT_EQ(a.merged, b.merged);
+    EXPECT_EQ(b.accepted_migrations(), 0u);
+    for (std::size_t d = 0; d < a.domains.size(); ++d) {
+      EXPECT_EQ(a.domains[d].result, b.domains[d].result) << "domain " << d;
+    }
   }
 }
 
