@@ -6,8 +6,7 @@
 // plane promises:
 //
 //   - K=0 compatibility: with the coordinator disabled, run_fleet is
-//     byte-identical to the flat runner regardless of the migration
-//     knobs (the PR-8 contract);
+//     byte-identical regardless of the migration knobs;
 //   - the coordinator accepts at least one migration on the
 //     pathological rung, and every accepted record crosses domains;
 //   - migration pays: fleet hm_ipc is no worse than freezing the
@@ -93,8 +92,8 @@ int main() {
 
   bool ok = true;
 
-  // --- Gate 1: K=0 is the flat runner, byte for byte, with every
-  // migration knob at a non-default value.
+  // --- Gate 1: K=0 runs byte for byte alike with every migration
+  // knob at a non-default value.
   {
     FleetConfig flat = cfg;
     flat.coordinator_period = 0;

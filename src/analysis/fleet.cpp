@@ -122,120 +122,38 @@ std::vector<workloads::WorkloadMix> plan_placement(const std::vector<std::string
 
 namespace {
 
-/// The flat PR-8 runner: plan once, shard, merge. This is the
-/// coordinator_period == 0 path and its bytes are a compatibility
-/// contract — the fleet_migrate bench memcmps a hierarchical-build
-/// K=0 run against the frozen pre-hierarchy snapshot.
-FleetResult run_fleet_flat(const FleetConfig& cfg,
-                           const std::vector<workloads::WorkloadMix>& shard_mixes,
-                           const BatchOptions& opts) {
-  const std::uint32_t cpd = cfg.params.machine.cores_per_domain();
-  FleetResult fleet;
-  fleet.domains.resize(shard_mixes.size());
-  std::vector<obs::MetricsRegistry> job_metrics(shard_mixes.size());
+/// One domain's simulation state. It persists across segments so the
+/// coordinator can move tenants between shards; inside a segment only
+/// that domain's job touches it.
+struct Shard {
+  RunParams params;
+  std::unique_ptr<sim::MulticoreSystem> system;
+  std::unique_ptr<core::Policy> policy;
+  std::unique_ptr<core::EpochDriver> driver;
+  Rng churn;
+  std::vector<std::string> running;
+  std::uint64_t attach_serial = 0;
+};
 
-  fleet.batch = run_batch(
-      shard_mixes.size(),
-      [&](std::size_t d) {
-        // The shard job owns every mutable object it touches: system,
-        // policy, driver, churn RNG, metrics registry. Nothing is
-        // shared across jobs, which is the whole determinism story.
-        RunParams params = shard_params(cfg.params, static_cast<std::uint32_t>(d));
-        params.epochs.metrics = &job_metrics[d];
+}  // namespace
 
-        sim::MulticoreSystem system(params.machine);
-        workloads::attach_mix(system, shard_mixes[d], params.seed);
-        const auto policy = make_policy(cfg.policy, params.detector());
-        core::EpochDriver driver(system, *policy, params.epochs);
-
-        DomainShardResult& shard = fleet.domains[d];
-        std::vector<std::string> running = shard_mixes[d].benchmarks;
-
-        if (cfg.churn_slice == 0 || cfg.churn_catalog.empty()) {
-          driver.run(params.run_cycles);
-        } else {
-          // Tenant churn between slices, the service-mode pattern:
-          // detach + attach a replacement + reseed the partition to
-          // baseline (churn invalidates what the policy converged on).
-          // The RNG is a pure function of (churn_seed, domain), so the
-          // swap schedule is thread-count independent.
-          Rng churn(cfg.churn_seed ^ (0x9E3779B97F4A7C15ULL * (d + 1)));
-          Cycle remaining = params.run_cycles;
-          std::uint64_t attach_serial = 0;
-          while (remaining > 0) {
-            const Cycle slice = std::min(cfg.churn_slice, remaining);
-            driver.run(slice);
-            remaining -= slice;
-            if (remaining == 0 || churn.next_below(1000) >= cfg.churn_per_mille) continue;
-            const auto core = static_cast<CoreId>(churn.next_below(cpd));
-            const auto& next =
-                cfg.churn_catalog[churn.next_below(cfg.churn_catalog.size())];
-            system.detach_core(core);
-            system.attach_core(
-                core, workloads::make_op_source(
-                          next, params.machine, core,
-                          params.seed + 0x1000ULL * core + 0x517D00ULL * (++attach_serial)));
-            running[core] = next;
-            driver.reseed(core::ResourceConfig::baseline(cpd, system.cat().llc_ways()));
-            ++shard.churn_swaps;
-          }
-        }
-
-        const auto& exec = driver.execution_counters();
-        for (CoreId c = 0; c < exec.size(); ++c) {
-          shard.result.cores.push_back(
-              make_core_stats(running[c], exec[c], params.machine.freq_ghz));
-          shard.result.measured_cycles =
-              std::max<Cycle>(shard.result.measured_cycles, exec[c].cycles);
-        }
-        shard.hm_ipc = harmonic_mean(shard.result.ipcs());
-        shard.epochs_completed = driver.epoch_index();
-      },
-      opts);
-
-  // Coordinator-side merge, all in domain (job) order — deterministic
-  // at any thread count.
-  for (std::size_t d = 0; d < fleet.domains.size(); ++d) {
-    fleet.metrics.merge(job_metrics[d]);
-    const auto& shard = fleet.domains[d];
-    for (const auto& core : shard.result.cores) fleet.merged.cores.push_back(core);
-    fleet.merged.measured_cycles =
-        std::max(fleet.merged.measured_cycles, shard.result.measured_cycles);
-    fleet.metrics.count("fleet.domains");
-    if (shard.churn_swaps > 0) fleet.metrics.count("fleet.churn_swaps", shard.churn_swaps);
-  }
-  fleet.hm_ipc = harmonic_mean(fleet.merged.ipcs());
-  return fleet;
-}
-
-/// The two-level runner: persistent per-domain shards advanced
-/// slice-by-slice under a barrier, with the FleetCoordinator planning
-/// cross-domain migrations between slices every coordinator_period
-/// slices. Shard jobs still own all of their mutable state; the
-/// coordinator acts serially on the calling thread, so the whole run
-/// stays bit-identical at any CMM_THREADS.
-FleetResult run_fleet_hierarchical(const FleetConfig& cfg,
-                                   const std::vector<workloads::WorkloadMix>& shard_mixes,
-                                   const BatchOptions& opts) {
+FleetResult run_fleet(const FleetConfig& cfg,
+                      const std::vector<workloads::WorkloadMix>& shard_mixes,
+                      const BatchOptions& opts) {
   const sim::MachineConfig& m = cfg.params.machine;
+  if (!m.valid()) throw std::invalid_argument("run_fleet: invalid fleet MachineConfig");
+  if (shard_mixes.size() != m.num_llc_domains)
+    throw std::invalid_argument("run_fleet: one shard mix per LLC domain required");
   const std::uint32_t cpd = m.cores_per_domain();
+  for (const auto& mix : shard_mixes) {
+    if (mix.benchmarks.size() != cpd)
+      throw std::invalid_argument("run_fleet: shard mix size != cores_per_domain");
+  }
   const std::size_t nd = shard_mixes.size();
 
   FleetResult fleet;
   fleet.domains.resize(nd);
   std::vector<obs::MetricsRegistry> job_metrics(nd);
-
-  // Persistent shard state (the flat runner's job-local state, hoisted
-  // so it survives across slices and migrations).
-  struct Shard {
-    RunParams params;
-    std::unique_ptr<sim::MulticoreSystem> system;
-    std::unique_ptr<core::Policy> policy;
-    std::unique_ptr<core::EpochDriver> driver;
-    Rng churn;
-    std::vector<std::string> running;
-    std::uint64_t attach_serial = 0;
-  };
   std::vector<Shard> shards(nd);
   for (std::size_t d = 0; d < nd; ++d) {
     Shard& s = shards[d];
@@ -245,6 +163,8 @@ FleetResult run_fleet_hierarchical(const FleetConfig& cfg,
     workloads::attach_mix(*s.system, shard_mixes[d], s.params.seed);
     s.policy = make_policy(cfg.policy, s.params.detector());
     s.driver = std::make_unique<core::EpochDriver>(*s.system, *s.policy, s.params.epochs);
+    // The churn RNG is a pure function of (churn_seed, domain), so the
+    // swap schedule is thread-count independent.
     s.churn = Rng(cfg.churn_seed ^ (0x9E3779B97F4A7C15ULL * (d + 1)));
     s.running = shard_mixes[d].benchmarks;
   }
@@ -261,51 +181,57 @@ FleetResult run_fleet_hierarchical(const FleetConfig& cfg,
   ccfg.sink = cfg.coordinator_sink;
   FleetCoordinator coordinator(ccfg);
 
+  // EpochDriver::run truncates its epoch schedule at the span end, so
+  // the slice length is part of the output: a steady-state run without
+  // a coordinator is one span, exactly like run_mix.
+  const Cycle run_cycles = cfg.params.run_cycles;
   const bool churning = cfg.churn_slice != 0 && !cfg.churn_catalog.empty();
   const Cycle slice_len =
-      cfg.churn_slice != 0
+      cfg.coordinator_period == 0 && !churning ? run_cycles
+      : cfg.churn_slice != 0
           ? cfg.churn_slice
           : cfg.params.epochs.execution_epoch + 8 * cfg.params.epochs.sampling_interval;
+  const std::uint64_t slices = run_cycles == 0 ? 0 : (run_cycles + slice_len - 1) / slice_len;
+  // One segment is one batch (one barrier): every slice without a
+  // coordinator, one coordinator period with one.
+  const std::uint64_t segment = cfg.coordinator_period == 0 ? slices : cfg.coordinator_period;
 
-  Cycle remaining = cfg.params.run_cycles;
-  std::uint64_t slice_idx = 0;
-  while (remaining > 0) {
-    const Cycle step = std::min(slice_len, remaining);
-    const bool final_slice = step == remaining;
+  for (std::uint64_t first = 0; first < slices; first += segment) {
+    const std::uint64_t end = std::min(slices, first + segment);
     const BatchStats bs = run_batch(
         nd,
         [&](std::size_t d) {
           Shard& s = shards[d];
-          s.driver->run(step);
-          // Same churn schedule as the flat runner: the RNG stream per
-          // domain is untouched by slicing or migration (the final
-          // slice skips the draw, exactly like `remaining == 0` in the
-          // flat loop's short-circuit).
-          if (!churning || final_slice) return;
-          if (s.churn.next_below(1000) >= cfg.churn_per_mille) return;
-          const auto core = static_cast<CoreId>(s.churn.next_below(cpd));
-          const auto& next = cfg.churn_catalog[s.churn.next_below(cfg.churn_catalog.size())];
-          s.system->detach_core(core);
-          s.system->attach_core(
-              core, workloads::make_op_source(
-                        next, s.params.machine, core,
-                        s.params.seed + 0x1000ULL * core + 0x517D00ULL * (++s.attach_serial)));
-          s.running[core] = next;
-          s.driver->reseed(core::ResourceConfig::baseline(cpd, s.system->cat().llc_ways()));
-          ++fleet.domains[d].churn_swaps;
+          for (std::uint64_t i = first; i < end; ++i) {
+            s.driver->run(std::min(slice_len, run_cycles - i * slice_len));
+            // Tenant churn between slices, the service-mode pattern:
+            // detach + attach a replacement + reseed the partition to
+            // baseline (churn invalidates what the policy converged on).
+            // The final slice draws nothing.
+            if (!churning || i + 1 == slices) continue;
+            if (s.churn.next_below(1000) >= cfg.churn_per_mille) continue;
+            const auto core = static_cast<CoreId>(s.churn.next_below(cpd));
+            const auto& next = cfg.churn_catalog[s.churn.next_below(cfg.churn_catalog.size())];
+            s.system->detach_core(core);
+            s.system->attach_core(
+                core, workloads::make_op_source(
+                          next, s.params.machine, core,
+                          s.params.seed + 0x1000ULL * core + 0x517D00ULL * (++s.attach_serial)));
+            s.running[core] = next;
+            s.driver->reseed(core::ResourceConfig::baseline(cpd, s.system->cat().llc_ways()));
+            ++fleet.domains[d].churn_swaps;
+          }
         },
         opts);
-    fleet.batch.jobs += bs.jobs;  // one job per domain per slice
+    fleet.batch.jobs += bs.jobs;  // one job per domain per segment
     fleet.batch.threads = bs.threads;
     fleet.batch.wall_seconds += bs.wall_seconds;
     fleet.batch.job_seconds += bs.job_seconds;
     fleet.batch.cache_hits += bs.cache_hits;
     fleet.batch.cache_misses += bs.cache_misses;
-    remaining -= step;
-    ++slice_idx;
-    if (remaining == 0 || slice_idx % cfg.coordinator_period != 0) continue;
+    if (end == slices) break;
 
-    // ---- Coordinator round (serial, between slices) ----
+    // ---- Coordinator round (serial, between segments) ----
     std::vector<DomainTelemetry> telemetry(nd);
     for (std::size_t d = 0; d < nd; ++d) {
       telemetry[d].summary = shards[d].driver->domain_summary();
@@ -334,8 +260,8 @@ FleetResult run_fleet_hierarchical(const FleetConfig& cfg,
     }
   }
 
-  // Result assembly + merge, serial in domain order (flat-runner
-  // semantics, with the migration tally on top).
+  // Result assembly and merge, serial in domain order — deterministic
+  // at any thread count.
   for (std::size_t d = 0; d < nd; ++d) {
     DomainShardResult& shard = fleet.domains[d];
     const auto& exec = shards[d].driver->execution_counters();
@@ -360,24 +286,6 @@ FleetResult run_fleet_hierarchical(const FleetConfig& cfg,
     fleet.metrics.count("fleet.migrations_rejected", coordinator.rejected());
   fleet.hm_ipc = harmonic_mean(fleet.merged.ipcs());
   return fleet;
-}
-
-}  // namespace
-
-FleetResult run_fleet(const FleetConfig& cfg,
-                      const std::vector<workloads::WorkloadMix>& shard_mixes,
-                      const BatchOptions& opts) {
-  const sim::MachineConfig& m = cfg.params.machine;
-  if (!m.valid()) throw std::invalid_argument("run_fleet: invalid fleet MachineConfig");
-  if (shard_mixes.size() != m.num_llc_domains)
-    throw std::invalid_argument("run_fleet: one shard mix per LLC domain required");
-  const std::uint32_t cpd = m.cores_per_domain();
-  for (const auto& mix : shard_mixes) {
-    if (mix.benchmarks.size() != cpd)
-      throw std::invalid_argument("run_fleet: shard mix size != cores_per_domain");
-  }
-  if (cfg.coordinator_period == 0) return run_fleet_flat(cfg, shard_mixes, opts);
-  return run_fleet_hierarchical(cfg, shard_mixes, opts);
 }
 
 FleetResult run_fleet(const FleetConfig& cfg, const std::vector<std::string>& benchmarks,

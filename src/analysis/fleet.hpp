@@ -1,23 +1,25 @@
 // Sharded fleet runner: many-core experiments over multi-LLC-domain
 // machines (MachineConfig::num_llc_domains > 1), one EpochDriver shard
-// per domain on the PR-1 thread pool, under a two-level control
+// per domain on the harness thread pool, under a two-level control
 // hierarchy: the per-domain drivers are level one, and a
 // FleetCoordinator (fleet_coordinator.hpp) running every
 // coordinator_period slices is level two, planning cross-domain tenant
-// migrations from per-domain telemetry. With the coordinator disabled
-// (coordinator_period == 0, the default) the runner is the flat PR-8
-// slice driver: plan once, shard, merge — byte-identical output.
+// migrations from per-domain telemetry. There is one slice loop: the
+// run is a sequence of segments, each one parallel batch with one job
+// per domain, and a coordinator round runs between segments. With the
+// coordinator disabled (coordinator_period == 0, the default) the whole
+// run is one segment, so it pays exactly one barrier.
 //
 // Determinism argument (see DESIGN.md, "Sharded multi-LLC fleet" and
 // "Hierarchical CMM"): domains share nothing — each owns a private
 // LLC, CAT, and memory controller; churn draws from a per-domain RNG
 // seeded by churn_seed ^ domain, never by thread id or schedule; and
-// the coordinator acts only between slices, serially, on telemetry
-// that is itself a pure function of the seeded simulation. Every shard
-// job owns all of its mutable state, so a fleet run is bit-identical
-// at any CMM_THREADS, and a coordinator-free shard is bit-identical to
-// a standalone run_mix() on the domain's machine — the properties
-// test_fleet.cpp and test_migration.cpp pin.
+// the coordinator acts only between segments, serially, on telemetry
+// that is itself a pure function of the seeded simulation. Inside a
+// segment each job touches only its own shard, so a fleet run is
+// bit-identical at any CMM_THREADS, and a coordinator-free shard is
+// bit-identical to a standalone run_mix() on the domain's machine — the
+// properties test_fleet.cpp and test_migration.cpp pin.
 #pragma once
 
 #include <cstddef>
@@ -63,14 +65,14 @@ struct FleetConfig {
   /// Empty disables swaps even when churn_slice > 0.
   std::vector<std::string> churn_catalog;
 
-  // ---- Hierarchical coordinator (0 = disabled: run_fleet is the
-  // flat PR-8 slice driver, byte-identical output) ----
+  // ---- Hierarchical coordinator (0 = disabled) ----
 
   /// Run the FleetCoordinator every K slices. A slice is churn_slice
-  /// cycles when churn is on, otherwise one execution epoch plus eight
-  /// sampling intervals (the service-tick default). With K > 0 the run
-  /// is driven slice-by-slice under a barrier so the coordinator can
-  /// migrate tenants across domains between slices.
+  /// cycles when churn is on; otherwise it is one execution epoch plus
+  /// eight sampling intervals (the service-tick default) with K > 0,
+  /// and the whole run with K = 0. Each K slices form one segment under
+  /// a barrier, so the coordinator can migrate tenants across domains
+  /// between segments; with K = 0 the whole run is one segment.
   unsigned coordinator_period = 0;
   /// Accepted migrations per coordinator round.
   unsigned migration_budget = 1;
@@ -102,9 +104,9 @@ struct FleetResult {
   RunResult merged;
   /// Job-order merge of the per-shard registries plus fleet.* counters.
   obs::MetricsRegistry metrics;
-  /// Shard jobs run: one per domain on the flat path, one per domain
-  /// per slice with a coordinator. Times and cache counts are summed
-  /// over the slices likewise.
+  /// Shard jobs run: one job per domain per segment (a segment is the
+  /// whole run with K = 0, K slices otherwise). Times and cache counts
+  /// are summed over the segments likewise.
   BatchStats batch;
   double hm_ipc = 0.0;  // harmonic mean over all fleet cores
 

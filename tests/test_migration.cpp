@@ -11,7 +11,7 @@
 //    strict-improvement acceptance, per-domain bandwidth feasibility,
 //    cooldown hysteresis against ping-pong, per-round budget.
 //  - Fleet runner: a hierarchical run that accepts no migrations is
-//    bit-identical to the flat runner on the same schedule; a
+//    bit-identical to a K=0 run on the same schedule; a
 //    pathological placement triggers real migrations; the whole thing
 //    is thread-count invariant and repeat-identical.
 //  - ServiceDriver: admission drawn on a coordinator-shared ledger
@@ -389,7 +389,7 @@ std::vector<workloads::WorkloadMix> pathological_mixes() {
 
 TEST(FleetHierarchy, NoAcceptedMigrationMatchesFlatRunner) {
   // A coordinator that never accepts (impossible gain bar) must leave
-  // the shards bit-identical to the flat runner on the same slice
+  // the shards bit-identical to a K=0 run on the same slice
   // schedule — planning alone has no side effects.
   FleetConfig flat = fleet_cfg(2);
   flat.churn_slice = 60'000;
