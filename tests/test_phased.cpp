@@ -6,7 +6,6 @@
 
 #include "sim/multicore_system.hpp"
 #include "workloads/phased.hpp"
-#include "workloads/trace.hpp"
 
 namespace cmm::workloads {
 namespace {
@@ -104,66 +103,6 @@ TEST(Phased, RunsOnACore) {
   sys.run(400'000);
   EXPECT_GT(sys.pmu().core(0).instructions, 100'000u);
   EXPECT_GT(sys.pmu().core(0).l2_pref_req, 0u);  // the stream phase prefetched
-}
-
-// -------------------------------------------------------------- trace
-
-TEST(Trace, ParsesAddressesFlagsAndIps) {
-  const auto refs = parse_text_trace(
-      "# comment\n"
-      "0x1000 R 3\n"
-      "4096 W\n"
-      "\n"
-      "0x2040\n");
-  ASSERT_EQ(refs.size(), 3u);
-  EXPECT_EQ(refs[0].addr, 0x1000u);
-  EXPECT_FALSE(refs[0].is_store);
-  EXPECT_EQ(refs[0].ip, 3u);
-  EXPECT_EQ(refs[1].addr, 4096u);
-  EXPECT_TRUE(refs[1].is_store);
-  EXPECT_EQ(refs[2].addr, 0x2040u);
-}
-
-TEST(Trace, RejectsMalformedLines) {
-  EXPECT_THROW(parse_text_trace("zzz R\n"), std::invalid_argument);
-  EXPECT_THROW(parse_text_trace("0x10 X\n"), std::invalid_argument);
-}
-
-TEST(Trace, ErrorsCarryLineNumbers) {
-  try {
-    parse_text_trace("0x10 R\n0x20 R\nbogus\n");
-    FAIL() << "expected throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
-  }
-}
-
-TEST(Trace, ReplaysCyclically) {
-  TraceOpSource src(parse_text_trace("0x40 R\n0x80 R\n0xC0 R\n"), {0.5, 4.0}, 2.0);
-  EXPECT_EQ(src.size(), 3u);
-  std::vector<Addr> seen;
-  for (int i = 0; i < 6; ++i) seen.push_back(src.next().mem.addr);
-  EXPECT_EQ(seen[0], seen[3]);
-  EXPECT_EQ(seen[1], seen[4]);
-  EXPECT_EQ(src.wraps(), 2u);  // 6 refs over a 3-entry trace = 2 passes
-}
-
-TEST(Trace, EmptyTraceRejected) {
-  EXPECT_THROW(TraceOpSource({}, {0.5, 4.0}), std::invalid_argument);
-}
-
-TEST(Trace, DrivesASimulatedCore) {
-  // A sequential trace must trigger the streamer like a synthetic one.
-  std::string text;
-  for (int i = 0; i < 4096; ++i) text += std::to_string(0x100000 + i * 64) + " R 1\n";
-  auto cfg = kMachine;
-  cfg.num_cores = 1;
-  sim::MulticoreSystem sys(cfg);
-  sys.set_op_source(0, std::make_shared<TraceOpSource>(parse_text_trace(text),
-                                                       sim::CoreTraits{0.5, 5.0}, 3.0));
-  sys.run(300'000);
-  EXPECT_GT(sys.pmu().core(0).l2_pref_req, 100u);
-  EXPECT_GT(sys.pmu().core(0).ipc(), 0.1);
 }
 
 }  // namespace
