@@ -1,8 +1,9 @@
 #include "bench_common.hpp"
 
-#include <charconv>
 #include <cstdlib>
 #include <iostream>
+
+#include "common/parse.hpp"
 
 namespace cmm::bench {
 
@@ -10,14 +11,12 @@ namespace {
 
 template <typename T>
 T parse(const char* name, std::string_view text, const char* expected) {
-  T value{};
-  const char* const last = text.data() + text.size();
-  const auto [end, ec] = std::from_chars(text.data(), last, value);
-  if (ec != std::errc{} || end != last) {
+  const auto value = parse_number<T>(text);
+  if (!value) {
     std::cerr << name << "=\"" << text << "\" is not " << expected << "\n";
     std::exit(2);
   }
-  return value;
+  return *value;
 }
 
 }  // namespace
@@ -64,6 +63,11 @@ void print_preamble(const BenchEnv& env, const std::string& figure, const std::s
             << env.mixes_per_category << " mixes/category, seed " << env.params.seed << "\n"
             << "(scale with CMM_BENCH_SCALE / CMM_BENCH_CYCLES / CMM_BENCH_MIXES / "
                "CMM_THREADS)\n\n";
+}
+
+bool gate(bool ok, const std::string& what) {
+  std::cout << (ok ? "PASS" : "FAIL") << "  " << what << "\n";
+  return ok;
 }
 
 void print_batch_summary(const analysis::BatchStats& stats) {

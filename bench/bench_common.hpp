@@ -1,6 +1,6 @@
 // Shared machinery for the bench binaries: environment-controlled run
 // parameters, the evaluation workloads, and the standard output
-// framing (preamble and batch summary).
+// framing (preamble, PASS/FAIL gate lines and batch summary).
 //
 // Environment knobs (all optional):
 //   CMM_BENCH_SCALE   LLC capacity divisor for the simulated machine
@@ -53,6 +53,10 @@ struct BenchEnv {
 
 /// Print the standard figure preamble (machine + parameters).
 void print_preamble(const BenchEnv& env, const std::string& figure, const std::string& what);
+
+/// Print "PASS  what" or "FAIL  what" on its own line and return `ok`,
+/// so a bench folds its gates with `ok &= gate(...)`.
+bool gate(bool ok, const std::string& what);
 
 /// Print the one-line JSON batch summary (jobs, threads, cache traffic,
 /// wall time, speedup) that the BENCH_*.json capture parses.

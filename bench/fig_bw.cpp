@@ -37,11 +37,6 @@ namespace {
 using cmm::analysis::RunResult;
 using cmm::workloads::WorkloadMix;
 
-bool gate(bool ok, const std::string& what) {
-  std::cout << (ok ? "PASS" : "FAIL") << "  " << what << "\n";
-  return ok;
-}
-
 /// Hog-heavy 8-core mixes: streaming benchmarks that saturate the DRAM
 /// window plus a couple of latency-bound victims that suffer from the
 /// queue delay the hogs induce.
@@ -102,6 +97,7 @@ double hm(const RunResult& r) {
 
 int main() {
   using namespace cmm;
+  using bench::gate;
 
   bench::BenchEnv env = bench::BenchEnv::from_env();
   const auto mixes = bandwidth_mixes(env.params.machine.num_cores);

@@ -40,18 +40,10 @@
 #include "obs/jsonl_sink.hpp"
 #include "workloads/workload_mix.hpp"
 
-namespace {
-
-bool gate(bool ok, const std::string& what) {
-  std::cout << (ok ? "PASS" : "FAIL") << "  " << what << "\n";
-  return ok;
-}
-
-}  // namespace
-
 int main() {
   using namespace cmm;
   using bench::env_u64;
+  using bench::gate;
   using analysis::FleetConfig;
   using analysis::FleetResult;
 

@@ -47,16 +47,12 @@ std::vector<unsigned> env_csv(const char* name, std::vector<unsigned> fallback) 
   return out.empty() ? fallback : out;
 }
 
-bool gate(bool ok, const std::string& what) {
-  std::cout << (ok ? "PASS" : "FAIL") << "  " << what << "\n";
-  return ok;
-}
-
 }  // namespace
 
 int main() {
   using namespace cmm;
   using bench::env_u64;
+  using bench::gate;
   using analysis::FleetConfig;
   using analysis::FleetResult;
 

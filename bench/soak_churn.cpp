@@ -24,19 +24,11 @@
 #include "obs/metrics_registry.hpp"
 #include "service/soak.hpp"
 
-namespace {
-
-bool gate(bool ok, const std::string& what) {
-  std::cout << (ok ? "PASS" : "FAIL") << "  " << what << "\n";
-  return ok;
-}
-
-}  // namespace
-
 int main() {
   using namespace cmm;
   using bench::env_double;
   using bench::env_u64;
+  using bench::gate;
 
   service::SoakConfig cfg;
   const auto scale = static_cast<unsigned>(env_u64("CMM_SOAK_SCALE", 32));

@@ -22,6 +22,7 @@
 #include "analysis/run_harness.hpp"
 #include "analysis/speedup_metrics.hpp"
 #include "analysis/table.hpp"
+#include "common/parse.hpp"
 
 namespace {
 
@@ -30,6 +31,14 @@ using namespace cmm;
 [[noreturn]] void usage_error(const std::string& message) {
   std::cerr << "cmm_run: " << message << " (--help for usage)\n";
   std::exit(2);
+}
+
+/// `text` as an unsigned decimal T, or a usage error naming `what`.
+template <typename T>
+T parse_flag(const std::string& what, const std::string& text) {
+  const auto value = parse_number<T>(text);
+  if (!value) usage_error(what + " '" + text + "' is not an unsigned decimal integer");
+  return *value;
 }
 
 std::vector<std::string> split(const std::string& s, char sep) {
@@ -89,11 +98,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--benchmarks") {
       benchmarks_arg = value();
     } else if (arg == "--cycles") {
-      cycles = std::strtoull(value().c_str(), nullptr, 10);
+      cycles = parse_flag<Cycle>(arg, value());
     } else if (arg == "--scale") {
-      scale = static_cast<unsigned>(std::strtoul(value().c_str(), nullptr, 10));
+      scale = parse_flag<unsigned>(arg, value());
     } else if (arg == "--seed") {
-      seed = std::strtoull(value().c_str(), nullptr, 10);
+      seed = parse_flag<std::uint64_t>(arg, value());
     } else if (arg == "--compare") {
       compare = true;
     } else if (arg == "--csv") {
@@ -127,8 +136,7 @@ int main(int argc, char** argv) {
   } else {
     const auto parts = split(mix_arg, ':');
     const auto category = parse_category(parts.at(0));
-    const unsigned index =
-        parts.size() > 1 ? static_cast<unsigned>(std::strtoul(parts[1].c_str(), nullptr, 10)) : 0;
+    const unsigned index = parts.size() > 1 ? parse_flag<unsigned>("--mix index", parts[1]) : 0;
     const auto mixes = workloads::make_mixes(category, index + 1, params.machine.num_cores, seed);
     mix = mixes.at(index);
   }

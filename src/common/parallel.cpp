@@ -4,14 +4,22 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <stdexcept>
+#include <string>
+
+#include "common/parse.hpp"
 
 namespace cmm {
 
 unsigned resolve_threads(unsigned requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("CMM_THREADS"); env != nullptr && *env != '\0') {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<unsigned>(parsed);
+    const auto parsed = parse_number<unsigned>(env);
+    if (!parsed) {
+      throw std::invalid_argument("CMM_THREADS=\"" + std::string(env) +
+                                  "\" is not an unsigned decimal integer");
+    }
+    if (*parsed > 0) return *parsed;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

@@ -17,7 +17,9 @@ namespace cmm {
 
 /// Worker count to use: `requested` if nonzero, else the CMM_THREADS
 /// environment variable, else std::thread::hardware_concurrency()
-/// (minimum 1).
+/// (minimum 1). CMM_THREADS=0 also means hardware_concurrency(); a
+/// value that is not an unsigned decimal integer throws
+/// std::invalid_argument naming the variable.
 unsigned resolve_threads(unsigned requested = 0);
 
 /// Fixed-size pool of workers draining a shared FIFO task queue.

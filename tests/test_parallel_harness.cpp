@@ -32,6 +32,18 @@ TEST(ResolveThreads, RequestWinsOverEnvironment) {
   EXPECT_EQ(resolve_threads(0), 3u);
   ::unsetenv("CMM_THREADS");
   EXPECT_GE(resolve_threads(0), 1u);
+  ::setenv("CMM_THREADS", "0", 1);
+  EXPECT_GE(resolve_threads(0), 1u);
+
+  // Malformed values are errors, not misparses; a request still wins
+  // without reading the variable.
+  for (const char* bad : {"abc", "2x", "-1", "+2", "8e6", "1.5", " 2", "99999999999"}) {
+    SCOPED_TRACE(bad);
+    ::setenv("CMM_THREADS", bad, 1);
+    EXPECT_THROW(resolve_threads(0), std::invalid_argument);
+    EXPECT_EQ(resolve_threads(2), 2u);
+  }
+  ::unsetenv("CMM_THREADS");
 }
 
 TEST(ThreadPool, RunsSubmittedTasks) {
