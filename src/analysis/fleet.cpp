@@ -186,11 +186,11 @@ FleetResult run_fleet(const FleetConfig& cfg,
   // a coordinator is one span, exactly like run_mix.
   const Cycle run_cycles = cfg.params.run_cycles;
   const bool churning = cfg.churn_slice != 0 && !cfg.churn_catalog.empty();
-  const Cycle slice_len =
-      cfg.coordinator_period == 0 && !churning ? run_cycles
-      : cfg.churn_slice != 0
+  const Cycle tick_len =
+      cfg.churn_slice != 0
           ? cfg.churn_slice
           : cfg.params.epochs.execution_epoch + 8 * cfg.params.epochs.sampling_interval;
+  const Cycle slice_len = cfg.coordinator_period == 0 && !churning ? run_cycles : tick_len;
   const std::uint64_t slices = run_cycles == 0 ? 0 : (run_cycles + slice_len - 1) / slice_len;
   // One segment is one batch (one barrier): every slice without a
   // coordinator, one coordinator period with one.
